@@ -240,7 +240,14 @@ fn bench_oracle(c: &mut Criterion) {
     }
     engine.publish_gauges();
     congest_telemetry::disable();
-    let op_hist = |name: &str| congest_telemetry::global().registry().histogram(name);
+    // Copied now: the paged sweep below enables telemetry again, and its
+    // engine ops would otherwise land in the same histograms.
+    let [dist_hist, path_hist, k_nearest_hist] =
+        ["oracle.op.dist_ns", "oracle.op.path_ns", "oracle.op.k_nearest_ns"].map(|name| {
+            let h = congest_telemetry::Histogram::new();
+            h.merge(&congest_telemetry::global().registry().histogram(name));
+            h
+        });
 
     // -------- concurrent throughput --------
     // Per-workload cache accounting: the counters are cumulative across the
@@ -412,7 +419,10 @@ fn bench_oracle(c: &mut Criterion) {
         hit_rate: f64,
         evictions: u64,
         qps: f64,
+        /// Mean ns per block read in each miss stage: io, verify, decode.
+        miss_stage_ns: [f64; 3],
     }
+    const MISS_STAGES: [&str; 3] = ["io", "verify", "decode"];
     let paged_points: Vec<PagedPoint> = [(1usize, 16usize), (1, 8), (1, 4), (1, 2), (1, 1)]
         .iter()
         .map(|&(num, den)| {
@@ -426,31 +436,49 @@ fn bench_oracle(c: &mut Criterion) {
                 EngineConfig { shards: 64, cache_per_shard: 0 },
             );
             let mut state = 0xC0FF_EE00 ^ ((num as u64) << 8) ^ den as u64;
-            let mut checksum = 0u64;
-            let start = Instant::now();
-            for i in 0..PAGED_QUERIES {
-                let u01 = next_rng(&mut state) as f64 / u64::MAX as f64 * ztotal;
-                let rank = cum.partition_point(|&c| c < u01);
-                let (a, b) = zipf_route(rank.min(ZIPF_UNIVERSE - 1));
-                if i % PATH_EVERY == 0 {
-                    if let Some(p) = pengine.path(a, b).expect("in range") {
-                        checksum ^= p.len() as u64;
+            let mut drive = |queries: u64| {
+                let mut checksum = 0u64;
+                for i in 0..queries {
+                    let u01 = next_rng(&mut state) as f64 / u64::MAX as f64 * ztotal;
+                    let rank = cum.partition_point(|&c| c < u01);
+                    let (a, b) = zipf_route(rank.min(ZIPF_UNIVERSE - 1));
+                    if i % PATH_EVERY == 0 {
+                        if let Some(p) = pengine.path(a, b).expect("in range") {
+                            checksum ^= p.len() as u64;
+                        }
+                    } else if let Some(d) = pengine.dist(a, b).expect("in range") {
+                        checksum ^= d;
                     }
-                } else if let Some(d) = pengine.dist(a, b).expect("in range") {
-                    checksum ^= d;
                 }
-            }
+                black_box(checksum);
+            };
+            let start = Instant::now();
+            drive(PAGED_QUERIES);
             let qps = PAGED_QUERIES as f64 / start.elapsed().as_secs_f64();
-            black_box(checksum);
             let s = paged.stats();
+            // Miss-stage split from a further, telemetry-enabled tenth of
+            // the workload, kept out of the timed loop above.
+            let stage_hist = MISS_STAGES.map(|stage| {
+                congest_telemetry::global()
+                    .registry()
+                    .histogram(&format!("oracle.paged.miss_{stage}_ns"))
+            });
+            stage_hist.iter().for_each(|h| h.clear());
+            congest_telemetry::enable();
+            drive(PAGED_QUERIES / 10);
+            congest_telemetry::disable();
+            let miss_stage_ns = stage_hist.map(|h| h.mean());
             let hit_rate = s.hits as f64 / (s.hits + s.misses).max(1) as f64;
             println!(
-                "paged {num}/{den} budget ({:.1} MiB): {:.1}% block hit rate, {} evictions, {:.1} MiB resident, {:.2} M queries/sec",
+                "paged {num}/{den} budget ({:.1} MiB): {:.1}% block hit rate, {} evictions, {:.1} MiB resident, {:.2} M queries/sec, miss io/verify/decode {:.1}/{:.1}/{:.1} µs",
                 budget_bytes as f64 / (1 << 20) as f64,
                 hit_rate * 100.0,
                 s.evictions,
                 s.resident_bytes as f64 / (1 << 20) as f64,
                 qps / 1e6,
+                miss_stage_ns[0] / 1e3,
+                miss_stage_ns[1] / 1e3,
+                miss_stage_ns[2] / 1e3,
             );
             PagedPoint {
                 budget_bytes,
@@ -458,6 +486,7 @@ fn bench_oracle(c: &mut Criterion) {
                 hit_rate,
                 evictions: s.evictions,
                 qps,
+                miss_stage_ns,
             }
         })
         .collect();
@@ -470,8 +499,7 @@ fn bench_oracle(c: &mut Criterion) {
         };
         let round1 = |x: f64| Json::F64((x * 10.0).round() / 10.0);
         let round3 = |x: f64| Json::F64((x * 1000.0).round() / 1000.0);
-        let hist_quantiles = |name: &str| {
-            let h = op_hist(name);
+        let hist_quantiles = |h: &congest_telemetry::Histogram| {
             obj(vec![
                 ("count", Json::U64(h.count())),
                 ("p50", Json::U64(h.p50())),
@@ -517,9 +545,9 @@ fn bench_oracle(c: &mut Criterion) {
             .field(
                 "op_latency_ns",
                 obj(vec![
-                    ("dist", hist_quantiles("oracle.op.dist_ns")),
-                    ("path", hist_quantiles("oracle.op.path_ns")),
-                    ("k_nearest", hist_quantiles("oracle.op.k_nearest_ns")),
+                    ("dist", hist_quantiles(&dist_hist)),
+                    ("path", hist_quantiles(&path_hist)),
+                    ("k_nearest", hist_quantiles(&k_nearest_hist)),
                 ]),
             )
             .field(
@@ -581,7 +609,7 @@ fn bench_oracle(c: &mut Criterion) {
                     (
                         "workload",
                         Json::from(
-                            "zipf(s=1.0) routes, 7:1 dist:path, engine path cache disabled",
+                            "zipf(s=1.0) routes, 7:1 dist:path, engine path cache disabled; miss_stage_mean_ns from a further telemetry-enabled 10% of the queries",
                         ),
                     ),
                     (
@@ -596,6 +624,14 @@ fn bench_oracle(c: &mut Criterion) {
                                         ("block_hit_rate", round3(p.hit_rate)),
                                         ("evictions", Json::U64(p.evictions)),
                                         ("queries_per_sec", Json::F64(p.qps.round())),
+                                        (
+                                            "miss_stage_mean_ns",
+                                            obj(MISS_STAGES
+                                                .iter()
+                                                .zip(p.miss_stage_ns)
+                                                .map(|(&stage, ns)| (stage, Json::F64(ns.round())))
+                                                .collect()),
+                                        ),
                                     ])
                                 })
                                 .collect(),

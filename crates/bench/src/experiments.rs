@@ -125,9 +125,15 @@ pub fn t1(big: bool, charging: Charging) -> ExperimentOutput {
         table,
         "  this-paper {e_paper:.2} | paper-rand {e_rand:.2} | AR18 {e_ar:.2} | naive {e_naive:.2}"
     );
+    let _ = writeln!(table, "  (Õ hides polylog factors, which inflate small-n fits)");
+    let last = rows.last().expect("t1_sizes is non-empty");
     let _ = writeln!(
         table,
-        "  (Õ hides polylog factors which inflate small-n fits; ordering paper < AR18 < naive is the reproduced shape)"
+        "{}",
+        ordering_line(
+            last.0,
+            &[("this-paper", last.1), ("paper-rand", last.2), ("AR18", last.3), ("naive", last.4)]
+        )
     );
     // projected crossover paper vs AR18 from the fitted power laws
     if e_ar > e_paper {
@@ -208,7 +214,30 @@ pub fn t1_deep(big: bool) -> ExperimentOutput {
         fit(&|r| r.2),
         fit(&|r| r.3)
     );
+    let last = rows.last().expect("t1_sizes is non-empty");
+    let _ = writeln!(
+        table,
+        "{}",
+        ordering_line(last.0, &[("this-paper", last.1), ("AR18", last.2), ("naive", last.3)])
+    );
     ExperimentOutput { id: "t1deep", table, csv }
+}
+
+/// The T1 footer line stating the round ordering measured at size `n`:
+/// algorithms sorted by rounds, ascending, with `=` between ties.
+fn ordering_line(n: usize, rounds: &[(&str, u64)]) -> String {
+    let mut sorted = rounds.to_vec();
+    sorted.sort_by_key(|&(_, r)| r);
+    let mut line = format!("  measured ordering at n = {n}:");
+    for (i, &(name, r)) in sorted.iter().enumerate() {
+        let sep = match i {
+            0 => " ",
+            _ if sorted[i - 1].1 == r => " = ",
+            _ => " < ",
+        };
+        let _ = write!(line, "{sep}{name} ({r})");
+    }
+    line
 }
 
 /// F1 — the T1 data as log-log series (for plotting).
@@ -950,5 +979,22 @@ pub fn run(id: &str, big: bool) -> Vec<ExperimentOutput> {
             v
         }
         other => panic!("unknown experiment id: {other}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ordering_line_states_the_measured_order() {
+        let line =
+            ordering_line(104, &[("this-paper", 19_515), ("AR18", 5_955), ("naive", 10_920)]);
+        assert_eq!(
+            line,
+            "  measured ordering at n = 104: AR18 (5955) < naive (10920) < this-paper (19515)"
+        );
+        let tie = ordering_line(8, &[("a", 3), ("b", 1), ("c", 3)]);
+        assert_eq!(tie, "  measured ordering at n = 8: b (1) < a (3) = c (3)");
     }
 }

@@ -216,14 +216,7 @@ pub fn build_csssp<W: Weight>(
             |sim| run_bf(g, topo, s, dir, 2 * h as u64, None, true, track, sim, charging),
             |res| sentinels::repaired_tree(g, dir, s, res),
         )?;
-        total.rounds += rep.rounds;
-        total.messages += rep.messages;
-        total.payload_words += rep.payload_words;
-        total.faults.merge(&rep.faults);
-        total.max_msg_words = total.max_msg_words.max(rep.max_msg_words);
-        for (t, s2) in total.node_sent.iter_mut().zip(rep.node_sent.iter()) {
-            *t += s2;
-        }
+        total.merge(&rep);
         for v in 0..n {
             let e = &res.entries[v];
             // Truncate to h hops (keeps exactly the vertices whose

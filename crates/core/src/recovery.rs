@@ -299,7 +299,7 @@ impl Recovery {
             match attempt(self.salted(base, seq, attempt_no), &mut scratch) {
                 Err(e) => last_error = Some(e),
                 Ok(t) => {
-                    let faults = scratch.total_faults();
+                    let faults = scratch.total().faults;
                     self.report.faults.merge(&faults);
                     let clean = faults.is_zero();
                     let verified = sentinel(&t).is_ok();
@@ -706,7 +706,7 @@ mod tests {
         assert_eq!(out.unwrap(), 2);
         assert_eq!(rec.phases().len(), 1, "the rejected attempt's recording is discarded");
         assert_eq!(rec.phases()[0].name, "pre/sub2");
-        assert!(rec.total_faults().is_zero());
+        assert!(rec.total().faults.is_zero());
         assert_eq!(rc.report().rounds_lost, 5);
     }
 }

@@ -31,7 +31,7 @@ use crate::config::{ApspConfig, BlockerParams, Charging};
 use crate::recovery::SolverError;
 use congest_graph::{Graph, Weight};
 use congest_sim::fault::FaultSpec;
-use congest_sim::{PhaseReport, Recorder, SimConfig};
+use congest_sim::{Recorder, SimConfig};
 
 /// Which APSP algorithm the [`Solver`] runs.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -303,20 +303,10 @@ impl<'g, W: Weight> Solver<'g, W> {
 }
 
 /// Collapses a recorder into a single `total` phase preserving the
-/// aggregate rounds/messages/congestion numbers.
+/// aggregate rounds/messages/congestion numbers and wall time.
 fn summarize(rec: &Recorder) -> Recorder {
-    let mut total = PhaseReport {
-        rounds: rec.total_rounds(),
-        messages: rec.total_messages(),
-        node_sent: rec.node_sent_totals(),
-        payload_words: rec.total_payload_words(),
-        max_msg_words: rec.max_msg_words(),
-        faults: rec.total_faults(),
-        ..Default::default()
-    };
-    total.peak_in_flight = rec.phases().iter().map(|p| p.peak_in_flight).max().unwrap_or(0);
     let mut out = Recorder::new();
-    out.record("total", total);
+    out.record("total", rec.total());
     out
 }
 
@@ -361,7 +351,7 @@ mod tests {
         // run, so it can only grow relative to the per-phase maximum.
         assert_eq!(
             summary.recorder.max_node_congestion(),
-            full.recorder.node_sent_totals().into_iter().max().unwrap_or(0)
+            full.recorder.total().node_sent.into_iter().max().unwrap_or(0)
         );
         assert!(summary.recorder.max_node_congestion() >= full.recorder.max_node_congestion());
         let silent = Solver::builder(&g).verbosity(Verbosity::Silent).run().unwrap();

@@ -322,14 +322,7 @@ pub fn collect_ancestors<W: Weight>(
             .collect();
         let budget = 4 * (coll.h as u64 + 2) + 16;
         let report = engine.run(&mut nodes, RunUntil::Quiesce { max: budget })?;
-        total.rounds += report.rounds;
-        total.messages += report.messages;
-        total.payload_words += report.payload_words;
-        total.max_msg_words = total.max_msg_words.max(report.max_msg_words);
-        total.faults.merge(&report.faults);
-        for (t, s2) in total.node_sent.iter_mut().zip(report.node_sent.iter()) {
-            *t += s2;
-        }
+        total.merge(&report);
         for (v, nd) in nodes.into_iter().enumerate() {
             result[v][si] = nd.path;
         }

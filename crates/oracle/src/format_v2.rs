@@ -20,19 +20,20 @@
 
 use crate::oracle::{derive_target_from_col, tick_derivation, Oracle, NO_SUCC};
 use crate::snapshot::{
-    atomic_write, check_plane, fnv1a, FnvWriter, PortableWeight, SnapshotError, ENCODE_CHUNK,
-    MAGIC, VERSION_V2,
+    atomic_write, block_checksum, check_plane, BlockHasher, HashWriter, PortableWeight,
+    SnapshotError, ENCODE_CHUNK, MAGIC, VERSION_V2,
 };
 use congest_graph::{Edge, Graph, NodeId, Weight};
 use congest_sim::parallel::par_indexed_map;
 use std::io::Write;
 use std::path::Path;
+use std::sync::Arc;
 
-/// v2 header length: v1's 20 bytes + block_rows (4) + header FNV (8).
+/// v2 header length: v1's 20 bytes + block_rows (4) + header hash (8).
 pub(crate) const HEADER_V2_LEN: usize = 32;
-/// Footer length: index offset + index len + index FNV + footer FNV.
+/// Footer length: index offset + index len + index hash + footer hash.
 pub(crate) const FOOTER_LEN: usize = 32;
-/// Index entry length: offset + len + FNV, 8 bytes each.
+/// Index entry length: offset + len + hash, 8 bytes each.
 pub(crate) const INDEX_ENTRY_LEN: usize = 24;
 /// Flag bit: the target-major successor plane is present on disk.
 pub(crate) const FLAG_SUCC: u8 = 1;
@@ -89,7 +90,7 @@ impl HeaderV2 {
 pub(crate) struct IndexEntry {
     pub(crate) offset: u64,
     pub(crate) len: u64,
-    pub(crate) fnv: u64,
+    pub(crate) hash: u64,
 }
 
 /// The fully validated index of a v2 file, split into its three
@@ -111,7 +112,9 @@ pub(crate) fn parse_header_v2(bytes: &[u8], expected_tag: u8) -> Result<HeaderV2
     if version != VERSION_V2 {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    if fnv1a(&bytes[..24]) != u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes")) {
+    if block_checksum(&bytes[..24])
+        != u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"))
+    {
         return Err(SnapshotError::ChecksumMismatch);
     }
     if bytes[10] != expected_tag {
@@ -142,21 +145,23 @@ pub(crate) fn parse_header_v2(bytes: &[u8], expected_tag: u8) -> Result<HeaderV2
 }
 
 /// Validates the 32-byte footer against the file length; returns
-/// `(index_offset, index_len, index_fnv)`.
+/// `(index_offset, index_len, index_hash)`.
 pub(crate) fn parse_footer(file_len: u64, bytes: &[u8]) -> Result<(u64, u64, u64), SnapshotError> {
-    if fnv1a(&bytes[..24]) != u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes")) {
+    if block_checksum(&bytes[..24])
+        != u64::from_le_bytes(bytes[24..32].try_into().expect("8 bytes"))
+    {
         return Err(SnapshotError::ChecksumMismatch);
     }
     let index_offset = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
     let index_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
-    let index_fnv = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    let index_hash = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
     let end = index_offset
         .checked_add(index_len)
         .ok_or(SnapshotError::Corrupt("index range overflows"))?;
     if index_offset < HEADER_V2_LEN as u64 || end != file_len - FOOTER_LEN as u64 {
         return Err(SnapshotError::Corrupt("index out of range"));
     }
-    Ok((index_offset, index_len, index_fnv))
+    Ok((index_offset, index_len, index_hash))
 }
 
 /// Validates the index blob: checksum, entry count, and — the hostile-
@@ -167,9 +172,9 @@ pub(crate) fn parse_index(
     header: HeaderV2,
     index_bytes: &[u8],
     index_offset: u64,
-    index_fnv: u64,
+    index_hash: u64,
 ) -> Result<LayoutV2, SnapshotError> {
-    if fnv1a(index_bytes) != index_fnv {
+    if block_checksum(index_bytes) != index_hash {
         return Err(SnapshotError::ChecksumMismatch);
     }
     let blocks = header.blocks() as u64;
@@ -180,7 +185,7 @@ pub(crate) fn parse_index(
     let mut parsed = index_bytes.chunks_exact(INDEX_ENTRY_LEN).map(|c| IndexEntry {
         offset: u64::from_le_bytes(c[0..8].try_into().expect("8 bytes")),
         len: u64::from_le_bytes(c[8..16].try_into().expect("8 bytes")),
-        fnv: u64::from_le_bytes(c[16..24].try_into().expect("8 bytes")),
+        hash: u64::from_le_bytes(c[16..24].try_into().expect("8 bytes")),
     });
     let mut cursor = HEADER_V2_LEN as u64;
     let mut take = |expected_len: Option<u64>| -> Result<IndexEntry, SnapshotError> {
@@ -265,6 +270,61 @@ pub(crate) fn parse_graph_section<W: PortableWeight>(
     Ok(Graph::from_edges(n, directed, edges))
 }
 
+/// Decodes one 8-byte dist cell. A cell that is not a valid weight
+/// encoding clears `valid` and stands in as `W::ZERO`, so a whole-block
+/// decode stays one branch-free pass: mapped over `chunks_exact`, it is
+/// `TrustedLen`, and collecting or extending writes every cell in place.
+pub(crate) fn dist_cell<W: PortableWeight>(cell: &[u8], valid: &mut bool) -> W {
+    W::decode(cell.try_into().expect("8-byte cell")).unwrap_or_else(|| {
+        *valid = false;
+        W::ZERO
+    })
+}
+
+/// Decodes one 4-byte successor cell; range-check the decoded ids with
+/// [`succ_ids_valid`].
+pub(crate) fn succ_cell(cell: &[u8]) -> NodeId {
+    NodeId::from_le_bytes(cell.try_into().expect("4-byte cell"))
+}
+
+/// Whether every id is [`NO_SUCC`] or below `n`. A separate branch-free
+/// pass over decoded ids vectorizes; checking inside the decode loop
+/// runs 2–3× slower.
+pub(crate) fn succ_ids_valid(ids: &[NodeId], n: usize) -> bool {
+    ids.iter().fold(true, |ok, &s| ok & (s == NO_SUCC || (s as usize) < n))
+}
+
+/// Decodes a checksum-verified dist block straight into a paged-backend
+/// page (one allocation, no staging copy), `None` when a cell is not a
+/// valid weight encoding.
+pub(crate) fn decode_dist<W: PortableWeight>(blob: &[u8]) -> Option<Arc<[W]>> {
+    let mut valid = true;
+    let cells = blob.chunks_exact(8).map(|c| dist_cell(c, &mut valid)).collect();
+    valid.then_some(cells)
+}
+
+/// Appends column `v` of a checksum-verified dist block of `n`-cell rows
+/// to `out`, decoding only that column's cells; `None` when one is not a
+/// valid weight encoding.
+pub(crate) fn decode_dist_column<W: PortableWeight>(
+    blob: &[u8],
+    n: usize,
+    v: usize,
+    out: &mut Vec<W>,
+) -> Option<()> {
+    for row in blob.chunks_exact(n * 8) {
+        out.push(W::decode(row[v * 8..v * 8 + 8].try_into().expect("8 bytes"))?);
+    }
+    Some(())
+}
+
+/// Decodes a checksum-verified successor block like [`decode_dist`],
+/// `None` when an id is neither [`NO_SUCC`] nor below `n`.
+pub(crate) fn decode_succ(blob: &[u8], n: usize) -> Option<Arc<[NodeId]>> {
+    let ids: Arc<[NodeId]> = blob.chunks_exact(4).map(succ_cell).collect();
+    succ_ids_valid(&ids, n).then_some(ids)
+}
+
 /// Derives the full target-major successor plane from the embedded graph
 /// (one parallel reverse BFS per target), validating that the distances
 /// actually belong to that graph. Ticks the process-wide derivation
@@ -297,13 +357,13 @@ pub(crate) fn from_bytes_v2<W: PortableWeight>(bytes: &[u8]) -> Result<Oracle<W>
         return Err(SnapshotError::Truncated { expected: min, got: bytes.len() });
     }
     let header = parse_header_v2(bytes, W::TAG)?;
-    let (ioff, ilen, ifnv) = parse_footer(bytes.len() as u64, &bytes[bytes.len() - FOOTER_LEN..])?;
-    let layout = parse_index(header, &bytes[ioff as usize..(ioff + ilen) as usize], ioff, ifnv)?;
+    let (ioff, ilen, ihash) = parse_footer(bytes.len() as u64, &bytes[bytes.len() - FOOTER_LEN..])?;
+    let layout = parse_index(header, &bytes[ioff as usize..(ioff + ilen) as usize], ioff, ihash)?;
     let n = header.n;
 
     let block = |e: &IndexEntry, pos: u32| -> Result<&[u8], SnapshotError> {
         let blob = &bytes[e.offset as usize..(e.offset + e.len) as usize];
-        if fnv1a(blob) != e.fnv {
+        if block_checksum(blob) != e.hash {
             return Err(SnapshotError::BlockCorrupt { block: pos, what: "checksum mismatch" });
         }
         Ok(blob)
@@ -311,12 +371,13 @@ pub(crate) fn from_bytes_v2<W: PortableWeight>(bytes: &[u8]) -> Result<Oracle<W>
 
     let mut dist: Vec<W> = Vec::with_capacity(n * n);
     for (b, e) in layout.dist.iter().enumerate() {
-        let blob = block(e, b as u32)?;
-        for chunk in blob.chunks_exact(8) {
-            let w = W::decode(chunk.try_into().expect("8-byte chunk")).ok_or(
-                SnapshotError::BlockCorrupt { block: b as u32, what: "invalid weight encoding" },
-            )?;
-            dist.push(w);
+        let mut valid = true;
+        dist.extend(block(e, b as u32)?.chunks_exact(8).map(|c| dist_cell::<W>(c, &mut valid)));
+        if !valid {
+            return Err(SnapshotError::BlockCorrupt {
+                block: b as u32,
+                what: "invalid weight encoding",
+            });
         }
     }
     for u in 0..n {
@@ -339,16 +400,13 @@ pub(crate) fn from_bytes_v2<W: PortableWeight>(bytes: &[u8]) -> Result<Oracle<W>
         let base = layout.dist.len() as u32;
         for (b, e) in layout.succ.iter().enumerate() {
             let pos = base + b as u32;
-            let blob = block(e, pos)?;
-            for chunk in blob.chunks_exact(4) {
-                let s = NodeId::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-                if s != NO_SUCC && s as usize >= n {
-                    return Err(SnapshotError::BlockCorrupt {
-                        block: pos,
-                        what: "successor id out of range",
-                    });
-                }
-                succ.push(s);
+            let start = succ.len();
+            succ.extend(block(e, pos)?.chunks_exact(4).map(succ_cell));
+            if !succ_ids_valid(&succ[start..], n) {
+                return Err(SnapshotError::BlockCorrupt {
+                    block: pos,
+                    what: "successor id out of range",
+                });
             }
         }
         check_plane(n, &dist, &succ).map_err(SnapshotError::Corrupt)?;
@@ -413,18 +471,18 @@ impl<W: PortableWeight> Oracle<W> {
         head.push(flags);
         head.extend_from_slice(&(n as u64).to_le_bytes());
         head.extend_from_slice(&cfg.block_rows.to_le_bytes());
-        let hsum = fnv1a(&head);
+        let hsum = block_checksum(&head);
         head.extend_from_slice(&hsum.to_le_bytes());
         w.write_all(&head).map_err(SnapshotError::Io)?;
 
         let mut offset = HEADER_V2_LEN as u64;
         let mut index: Vec<IndexEntry> = Vec::new();
-        type Encode<'a> =
-            dyn FnMut(&mut FnvWriter<&mut dyn Write>) -> Result<u64, SnapshotError> + 'a;
+        type Encode<'a> = dyn FnMut(&mut HashWriter<&mut dyn Write, BlockHasher>) -> Result<u64, SnapshotError>
+            + 'a;
         let mut emit = |w: &mut dyn Write, encode: &mut Encode<'_>| -> Result<(), SnapshotError> {
-            let mut fw = FnvWriter::new(w);
+            let mut fw = HashWriter::<_, BlockHasher>::new(w);
             let len = encode(&mut fw)?;
-            index.push(IndexEntry { offset, len, fnv: fw.hash() });
+            index.push(IndexEntry { offset, len, hash: fw.hash() });
             offset += len;
             Ok(())
         };
@@ -486,15 +544,15 @@ impl<W: PortableWeight> Oracle<W> {
         for e in &index {
             ibytes.extend_from_slice(&e.offset.to_le_bytes());
             ibytes.extend_from_slice(&e.len.to_le_bytes());
-            ibytes.extend_from_slice(&e.fnv.to_le_bytes());
+            ibytes.extend_from_slice(&e.hash.to_le_bytes());
         }
-        let ifnv = fnv1a(&ibytes);
+        let ihash = block_checksum(&ibytes);
         w.write_all(&ibytes).map_err(SnapshotError::Io)?;
         let mut footer = Vec::with_capacity(FOOTER_LEN);
         footer.extend_from_slice(&offset.to_le_bytes());
         footer.extend_from_slice(&(ibytes.len() as u64).to_le_bytes());
-        footer.extend_from_slice(&ifnv.to_le_bytes());
-        let fsum = fnv1a(&footer);
+        footer.extend_from_slice(&ihash.to_le_bytes());
+        let fsum = block_checksum(&footer);
         footer.extend_from_slice(&fsum.to_le_bytes());
         w.write_all(&footer).map_err(SnapshotError::Io)?;
         Ok(())
@@ -589,7 +647,7 @@ mod tests {
         let mut bytes = o.to_bytes_v2(&V2Config::default()).unwrap();
         bytes[11] = 0;
         // Re-seal the header so the flags byte itself is reached.
-        let h = fnv1a(&bytes[..24]);
+        let h = block_checksum(&bytes[..24]);
         bytes[24..32].copy_from_slice(&h.to_le_bytes());
         assert!(matches!(
             Oracle::<u64>::from_bytes(&bytes).unwrap_err(),

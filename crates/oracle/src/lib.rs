@@ -84,4 +84,4 @@ pub use engine::{CacheStats, EngineConfig, QueryEngine, QueryError};
 pub use format_v2::V2Config;
 pub use oracle::{successor_derivations, IntoOracle, Oracle, NO_SUCC};
 pub use paged::{PagedConfig, PagedOracle, PagedStats};
-pub use snapshot::{PortableWeight, SnapshotError, MAGIC, VERSION, VERSION_V2};
+pub use snapshot::{block_checksum, PortableWeight, SnapshotError, MAGIC, VERSION, VERSION_V2};

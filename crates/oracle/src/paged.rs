@@ -12,29 +12,38 @@
 //! [`successor_derivations`](crate::successor_derivations)) and cached
 //! like any other page.
 //!
-//! Concurrency: the page cache and the file handle are two independent
-//! mutexes, both held only for O(1)-ish critical sections (cache probe /
-//! insert, one positioned read). Block decode and checksum verification
-//! run outside both locks; two threads racing on the same miss may both
+//! Concurrency: the page cache is the one mutex, held only for O(1)-ish
+//! critical sections (cache probe / insert). Block reads are positioned
+//! reads (`pread`) on a shared file handle, so misses on different blocks
+//! proceed in parallel; the read, checksum verification and decode all
+//! run outside the lock. Two threads racing on the same miss may both
 //! read the block, and the second insert is dropped.
+//!
+//! A miss costs one read, one [`block_checksum`](crate::block_checksum)
+//! pass and one whole-block decode straight into the shared page; with
+//! telemetry enabled the three stages of every page-in land in the
+//! `oracle.paged.miss_{io,verify,decode}_ns` histograms. The uncached
+//! column sweeps of successor derivation decode only the column's cells
+//! and stay out of those histograms.
 
 use crate::engine::QueryError;
 use crate::format_v2::{
-    parse_footer, parse_graph_section, parse_header_v2, parse_index, IndexEntry, FOOTER_LEN,
-    HEADER_V2_LEN,
+    decode_dist, decode_dist_column, decode_succ, parse_footer, parse_graph_section,
+    parse_header_v2, parse_index, IndexEntry, FOOTER_LEN, HEADER_V2_LEN,
 };
 use crate::lru::LruCache;
 use crate::oracle::{
     derive_target_from_col, k_nearest_in_row, tick_derivation, walk_succ_column, NO_SUCC,
 };
-use crate::snapshot::{fnv1a, PortableWeight, SnapshotError};
+use crate::snapshot::{block_checksum, PortableWeight, SnapshotError};
 use congest_graph::{Graph, NodeId, Weight};
-use congest_telemetry::{Counter, Gauge};
+use congest_telemetry::{Counter, Gauge, Histogram};
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Tuning knobs for a [`PagedOracle`].
 #[derive(Copy, Clone, Debug)]
@@ -109,6 +118,9 @@ struct PagedTele {
     evictions: Arc<Counter>,
     validations: Arc<Counter>,
     resident: Arc<Gauge>,
+    miss_io: Arc<Histogram>,
+    miss_verify: Arc<Histogram>,
+    miss_decode: Arc<Histogram>,
 }
 
 impl PagedTele {
@@ -120,6 +132,31 @@ impl PagedTele {
             evictions: reg.counter("oracle.paged.block_evictions"),
             validations: reg.counter("oracle.paged.block_validations"),
             resident: reg.gauge("oracle.paged.resident_bytes"),
+            miss_io: reg.histogram("oracle.paged.miss_io_ns"),
+            miss_verify: reg.histogram("oracle.paged.miss_verify_ns"),
+            miss_decode: reg.histogram("oracle.paged.miss_decode_ns"),
+        }
+    }
+}
+
+/// Stage timer of the miss path: a clock read only while telemetry is
+/// enabled, each [`lap`](StageClock::lap) recording the time since the
+/// previous one.
+struct StageClock(Option<Instant>);
+
+impl StageClock {
+    fn start() -> Self {
+        StageClock(congest_telemetry::enabled().then(Instant::now))
+    }
+
+    /// A clock that records nothing.
+    const OFF: StageClock = StageClock(None);
+
+    fn lap(&mut self, hist: &Histogram) {
+        if let Some(t0) = self.0 {
+            let now = Instant::now();
+            hist.record(u64::try_from((now - t0).as_nanos()).unwrap_or(u64::MAX));
+            self.0 = Some(now);
         }
     }
 }
@@ -137,10 +174,12 @@ pub struct PagedOracle<W> {
     /// Present iff the plane is absent (then it is required); used only
     /// for on-demand successor derivation.
     graph: Option<Graph<W>>,
-    /// Captured at `open` so query methods need only `W: Weight` — the
+    /// Whole-block and column decodes, monomorphized for `W` and
+    /// captured at `open` so query methods need only `W: Weight` — the
     /// engine's backend enum stays bound-compatible with the eager path.
-    decode: fn([u8; 8]) -> Option<W>,
-    file: Mutex<File>,
+    decode_dist: fn(&[u8]) -> Option<Arc<[W]>>,
+    decode_column: fn(&[u8], usize, usize, &mut Vec<W>) -> Option<()>,
+    file: File,
     dist_index: Box<[IndexEntry]>,
     succ_index: Box<[IndexEntry]>,
     budget: usize,
@@ -166,31 +205,27 @@ impl<W: PortableWeight> PagedOracle<W> {
     /// [`Oracle::load`](crate::Oracle::load) for those), filesystem
     /// failures as [`SnapshotError::Io`].
     pub fn open(path: impl AsRef<Path>, cfg: PagedConfig) -> Result<Self, SnapshotError> {
-        let mut file = File::open(path).map_err(SnapshotError::Io)?;
+        let file = File::open(path).map_err(SnapshotError::Io)?;
         let file_len = file.metadata().map_err(SnapshotError::Io)?.len();
         let min = HEADER_V2_LEN + FOOTER_LEN;
         if file_len < min as u64 {
             return Err(SnapshotError::Truncated { expected: min, got: file_len as usize });
         }
-        let mut head = [0u8; HEADER_V2_LEN];
-        file.read_exact(&mut head).map_err(SnapshotError::Io)?;
-        let header = parse_header_v2(&head, W::TAG)?;
-        let mut foot = [0u8; FOOTER_LEN];
-        file.seek(SeekFrom::End(-(FOOTER_LEN as i64))).map_err(SnapshotError::Io)?;
-        file.read_exact(&mut foot).map_err(SnapshotError::Io)?;
-        let (ioff, ilen, ifnv) = parse_footer(file_len, &foot)?;
-        let mut ibytes = vec![0u8; ilen as usize];
-        file.seek(SeekFrom::Start(ioff)).map_err(SnapshotError::Io)?;
-        file.read_exact(&mut ibytes).map_err(SnapshotError::Io)?;
-        let layout = parse_index(header, &ibytes, ioff, ifnv)?;
+        let read_at = |len: usize, offset: u64| -> Result<Vec<u8>, SnapshotError> {
+            let mut buf = vec![0u8; len];
+            file.read_exact_at(&mut buf, offset).map_err(SnapshotError::Io)?;
+            Ok(buf)
+        };
+        let header = parse_header_v2(&read_at(HEADER_V2_LEN, 0)?, W::TAG)?;
+        let foot = read_at(FOOTER_LEN, file_len - FOOTER_LEN as u64)?;
+        let (ioff, ilen, ihash) = parse_footer(file_len, &foot)?;
+        let layout = parse_index(header, &read_at(ilen as usize, ioff)?, ioff, ihash)?;
         let graph = if header.has_succ {
             None
         } else {
             let (pos, e) = layout.graph.expect("flags guarantee a graph without successors");
-            let mut blob = vec![0u8; e.len as usize];
-            file.seek(SeekFrom::Start(e.offset)).map_err(SnapshotError::Io)?;
-            file.read_exact(&mut blob).map_err(SnapshotError::Io)?;
-            if fnv1a(&blob) != e.fnv {
+            let blob = read_at(e.len as usize, e.offset)?;
+            if block_checksum(&blob) != e.hash {
                 return Err(SnapshotError::BlockCorrupt { block: pos, what: "checksum mismatch" });
             }
             Some(parse_graph_section::<W>(&blob, header.n, pos)?)
@@ -201,8 +236,9 @@ impl<W: PortableWeight> PagedOracle<W> {
             blocks: header.blocks(),
             has_succ: header.has_succ,
             graph,
-            decode: W::decode,
-            file: Mutex::new(file),
+            decode_dist: decode_dist::<W>,
+            decode_column: decode_dist_column::<W>,
+            file,
             dist_index: layout.dist.into_boxed_slice(),
             succ_index: layout.succ.into_boxed_slice(),
             budget: cfg.resident_bytes,
@@ -321,28 +357,32 @@ impl<W: Weight> PagedOracle<W> {
         }
     }
 
-    /// One positioned read under the file lock; checksum verification
-    /// happens at the caller, outside the lock.
-    fn read_range(&self, e: IndexEntry) -> std::io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; e.len as usize];
-        let mut f = self.file.lock().expect("snapshot file poisoned");
-        f.seek(SeekFrom::Start(e.offset))?;
-        f.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// Reads + validates block `e` (whose index position is `pos`),
-    /// ticking the validation counters.
-    fn read_block(&self, e: IndexEntry, pos: u32) -> Result<Vec<u8>, QueryError> {
-        let bytes = self.read_range(e).map_err(|_| QueryError::BlockUnavailable { block: pos })?;
-        if fnv1a(&bytes) != e.fnv {
-            return Err(QueryError::BlockUnavailable { block: pos });
+    /// Reads block `e` (whose index position is `pos`) with one
+    /// positioned read, verifies its checksum and hands the verified
+    /// bytes to `decode`, ticking the validation counters and timing the
+    /// three stages on `clock`.
+    fn load_block<T>(
+        &self,
+        e: IndexEntry,
+        pos: u32,
+        mut clock: StageClock,
+        decode: impl FnOnce(&[u8]) -> Option<T>,
+    ) -> Result<T, QueryError> {
+        let unavailable = QueryError::BlockUnavailable { block: pos };
+        let mut bytes = vec![0u8; e.len as usize];
+        self.file.read_exact_at(&mut bytes, e.offset).map_err(|_| unavailable)?;
+        clock.lap(&self.tele.miss_io);
+        if block_checksum(&bytes) != e.hash {
+            return Err(unavailable);
         }
+        clock.lap(&self.tele.miss_verify);
         self.validations.fetch_add(1, Ordering::Relaxed);
         if congest_telemetry::enabled() {
             self.tele.validations.inc();
         }
-        Ok(bytes)
+        let out = decode(&bytes).ok_or(unavailable)?;
+        clock.lap(&self.tele.miss_decode);
+        Ok(out)
     }
 
     /// The decoded distance block `b`, paging it in on a miss.
@@ -351,14 +391,8 @@ impl<W: Weight> PagedOracle<W> {
         if let Some(Page::Dist(p)) = self.cache_get(key) {
             return Ok(p);
         }
-        let bytes = self.read_block(self.dist_index[b], b as u32)?;
-        let mut cells: Vec<W> = Vec::with_capacity(bytes.len() / 8);
-        for chunk in bytes.chunks_exact(8) {
-            let w = (self.decode)(chunk.try_into().expect("8-byte chunk"))
-                .ok_or(QueryError::BlockUnavailable { block: b as u32 })?;
-            cells.push(w);
-        }
-        let p: Arc<[W]> = cells.into();
+        let p =
+            self.load_block(self.dist_index[b], b as u32, StageClock::start(), self.decode_dist)?;
         self.insert_page(key, Page::Dist(p.clone()));
         Ok(p)
     }
@@ -370,16 +404,9 @@ impl<W: Weight> PagedOracle<W> {
             return Ok(p);
         }
         let pos = (self.blocks + b) as u32;
-        let bytes = self.read_block(self.succ_index[b], pos)?;
-        let mut cells: Vec<NodeId> = Vec::with_capacity(bytes.len() / 4);
-        for chunk in bytes.chunks_exact(4) {
-            let s = NodeId::from_le_bytes(chunk.try_into().expect("4-byte chunk"));
-            if s != NO_SUCC && s as usize >= self.n {
-                return Err(QueryError::BlockUnavailable { block: pos });
-            }
-            cells.push(s);
-        }
-        let p: Arc<[NodeId]> = cells.into();
+        let p = self.load_block(self.succ_index[b], pos, StageClock::start(), |bytes| {
+            decode_succ(bytes, self.n)
+        })?;
         self.insert_page(key, Page::Succ(p.clone()));
         Ok(p)
     }
@@ -391,14 +418,9 @@ impl<W: Weight> PagedOracle<W> {
     fn read_dist_column(&self, v: NodeId) -> Result<Vec<W>, QueryError> {
         let mut dcol: Vec<W> = Vec::with_capacity(self.n);
         for (b, &e) in self.dist_index.iter().enumerate() {
-            let bytes = self.read_block(e, b as u32)?;
-            let rows = (e.len as usize / 8) / self.n;
-            for r in 0..rows {
-                let at = (r * self.n + v as usize) * 8;
-                let w = (self.decode)(bytes[at..at + 8].try_into().expect("8 bytes"))
-                    .ok_or(QueryError::BlockUnavailable { block: b as u32 })?;
-                dcol.push(w);
-            }
+            self.load_block(e, b as u32, StageClock::OFF, |bytes| {
+                (self.decode_column)(bytes, self.n, v as usize, &mut dcol)
+            })?;
         }
         Ok(dcol)
     }

@@ -2,8 +2,9 @@
 //! forever.
 //!
 //! No external dependencies (the build is offline): both formats are small
-//! hand-rolled little-endian layouts built on FNV-1a 64 checksums. Two
-//! versions coexist:
+//! hand-rolled little-endian layouts sealed by 64-bit checksums —
+//! byte-wise FNV-1a for v1, a word-wise 4-lane hash ([`block_checksum`])
+//! for the blocked format. Two formats coexist:
 //!
 //! ## Format v1 — monolithic (the eager path)
 //!
@@ -28,30 +29,56 @@
 //! own checksum, indexed from the tail of the file so a reader can
 //! validate the header + index eagerly and page blocks lazily (the
 //! [`PagedOracle`](crate::PagedOracle) backend). Written front-to-back
-//! with no seeks, so [`Oracle::save_v2_to`] streams to any `Write`:
+//! with no seeks, so [`Oracle::save_v2_to`] streams to any `Write`. Its
+//! on-disk version field is [`VERSION_V2`] = 3; every "hash" below is
+//! [`block_checksum`]:
 //!
 //! ```text
 //! offset  size      field
 //! 0       8         magic  b"CGSTORCL"
-//! 8       2         format version (u16 LE) = 2
+//! 8       2         format version (u16 LE) = 3
 //! 10      1         weight-type tag (PortableWeight::TAG)
 //! 11      1         flags: bit0 = successor plane on disk,
 //!                          bit1 = graph section on disk (≥ one set)
 //! 12      8         n (u64 LE)
 //! 20      4         block_rows (u32 LE): rows per block
-//! 24      8         FNV-1a 64 of header bytes 0..24
+//! 24      8         hash of header bytes 0..24
 //! 32      ...       B dist blocks, block b = rows [b·br, min(n,(b+1)·br))
 //!                   of the row-major distance arena, 8 bytes per weight
 //! ..      ...       B successor blocks (flag bit0): same row partition of
 //!                   the target-major plane, u32 LE per entry
 //! ..      ...       graph section (flag bit1): u8 directed, u64 m, then
 //!                   m × (u32 from, u32 to, 8-byte weight)
-//! ..      E·24      index: one (offset u64, len u64, fnv u64) entry per
+//! ..      E·24      index: one (offset u64, len u64, hash u64) entry per
 //!                   dist block, then per successor block, then the graph
 //!                   section — ranges must tile [32, index) exactly
-//! end-32  32        footer: index offset u64, index len u64, index fnv
-//!                   u64, FNV-1a 64 of the footer's first 24 bytes
+//! end-32  32        footer: index offset u64, index len u64, index hash
+//!                   u64, hash of the footer's first 24 bytes
 //! ```
+//!
+//! The checksum reads its input as little-endian 8-byte words in stripes
+//! of four, one word per lane. With
+//! `step(s, w) = rotl(s + w · P2, 31) · P1` (wrapping arithmetic,
+//! `P1 = 0x9E37_79B1_85EB_CA87`, `P2 = 0xC2B2_AE3D_27D4_EB4F`,
+//! `O = 0x27D4_EB2F_1656_67C5`):
+//!
+//! 1. lane `i` starts at `step(O, i)`, for `i` in `0..4`;
+//! 2. each whole 32-byte stripe steps every lane with its own word;
+//! 3. the lanes fold left to right: `h = step(step(step(lane0, lane1),
+//!    lane2), lane3)`;
+//! 4. the remaining 0–31 tail bytes, zero-padded to whole words, step
+//!    `h` one word at a time, and a last `h = step(h, len)` folds in the
+//!    input length in bytes.
+//!
+//! Every step is a bijection of the running state and of the word, so
+//! two equal-length inputs differing in a single word (hence any single
+//! bit) always hash differently. The word is multiplied before it meets
+//! the state and the rotation sits between the two multiplies, so a
+//! change to one word — even to its top bit alone — reaches the next
+//! step as a data-dependent difference a later word cannot cancel in a
+//! fixed way. It reads 8 bytes per two multiplies where FNV-1a reads one
+//! byte per multiply, which keeps verification below the cost of the
+//! read on the paged miss path.
 //!
 //! The successor plane is optional on disk: with flag bit0 clear the
 //! graph section must be present, and readers re-derive each target's
@@ -65,7 +92,10 @@
 //!
 //! **Migration:** `congest-serve make-snapshot --from old.snap --format
 //! v2` rewrites a v1 snapshot as v2 ([`Oracle::load`] accepts both, so
-//! the eager path needs no migration at all).
+//! the eager path needs no migration for v1). Blocked files of on-disk
+//! version 2, which sealed everything with FNV-1a, are rejected by both
+//! loaders with `UnsupportedVersion { found: 2 }`; re-make them from the
+//! graph with `make-snapshot`.
 //!
 //! ## Durability
 //!
@@ -79,6 +109,7 @@
 
 use crate::oracle::{Oracle, NO_SUCC};
 use congest_graph::{NodeId, Weight, F64};
+use std::hash::Hasher;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -87,8 +118,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub const MAGIC: &[u8; 8] = b"CGSTORCL";
 /// The monolithic (v1) snapshot format version.
 pub const VERSION: u16 = 1;
-/// The blocked, out-of-core (v2) snapshot format version.
-pub const VERSION_V2: u16 = 2;
+/// The on-disk version of the blocked, out-of-core (v2) snapshot format.
+/// Version 2 sealed it with FNV-1a; version 3 uses [`block_checksum`].
+pub const VERSION_V2: u16 = 3;
 pub(crate) const HEADER_LEN: usize = 20;
 const CHECKSUM_LEN: usize = 8;
 
@@ -163,7 +195,8 @@ pub enum SnapshotError {
     },
     /// The leading magic bytes are not [`MAGIC`].
     BadMagic,
-    /// The format version is newer than this build understands.
+    /// The format version is not one this build reads (1 or
+    /// [`VERSION_V2`]).
     UnsupportedVersion {
         /// Version found in the header.
         found: u16,
@@ -301,40 +334,166 @@ pub(crate) fn check_plane<W: Weight>(
 }
 
 /// FNV-1a 64-bit offset basis.
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-/// Folds `bytes` into a running FNV-1a 64 state `h`.
-pub(crate) fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+/// FNV-1a 64 as a streaming [`Hasher`]: the v1 trailer checksum.
+struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(FNV_OFFSET)
     }
-    h
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// FNV-1a 64-bit over `bytes`.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_update(FNV_OFFSET, bytes)
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// Multiplier applied to the running state of the blocked format's hash.
+const BLOCK_P1: u64 = 0x9E37_79B1_85EB_CA87;
+/// Multiplier applied to each input word before it meets the state.
+const BLOCK_P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+/// The state every lane starts from before its lane number is folded in.
+const BLOCK_SEED: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// One step of the blocked format's word hash. Both multipliers are odd,
+/// so for a fixed `word` the step is a bijection of `state`, and for a
+/// fixed `state` a bijection of `word`. Multiplying only carries upward;
+/// the rotation between the two multiplies brings the top bits back
+/// down, so no bit of a word reaches the next step as a fixed,
+/// data-independent difference that a later word could cancel.
+#[inline(always)]
+fn mix_word(state: u64, word: u64) -> u64 {
+    state.wrapping_add(word.wrapping_mul(BLOCK_P2)).rotate_left(31).wrapping_mul(BLOCK_P1)
+}
+
+/// Independent hash lanes, one 8-byte word each per stripe.
+const LANES: usize = 4;
+/// Bytes consumed per step of all lanes.
+const STRIPE: usize = LANES * 8;
+
+/// Streaming form of [`block_checksum`]: whatever way the input is split
+/// across [`write`](Hasher::write) calls, the result equals the one-shot
+/// value. Carries at most `STRIPE - 1` bytes between calls, so a writer
+/// hashing a block on its way out never buffers the block.
+pub(crate) struct BlockHasher {
+    lanes: [u64; LANES],
+    pending: [u8; STRIPE],
+    pending_len: usize,
+    len: u64,
+}
+
+impl Default for BlockHasher {
+    fn default() -> Self {
+        BlockHasher {
+            lanes: std::array::from_fn(|i| mix_word(BLOCK_SEED, i as u64)),
+            pending: [0; STRIPE],
+            pending_len: 0,
+            len: 0,
+        }
+    }
+}
+
+impl BlockHasher {
+    /// Folds whole stripes (`data.len()` is a multiple of `STRIPE`).
+    fn stripes(&mut self, data: &[u8]) {
+        let word = |s: &[u8], i: usize| {
+            u64::from_le_bytes(s[i * 8..i * 8 + 8].try_into().expect("8 bytes"))
+        };
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        for stripe in data.chunks_exact(STRIPE) {
+            a = mix_word(a, word(stripe, 0));
+            b = mix_word(b, word(stripe, 1));
+            c = mix_word(c, word(stripe, 2));
+            d = mix_word(d, word(stripe, 3));
+        }
+        self.lanes = [a, b, c, d];
+    }
+}
+
+impl Hasher for BlockHasher {
+    fn write(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (STRIPE - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < STRIPE {
+                return;
+            }
+            let stripe = self.pending;
+            self.stripes(&stripe);
+            self.pending_len = 0;
+        }
+        let whole = bytes.len() - bytes.len() % STRIPE;
+        self.stripes(&bytes[..whole]);
+        let rest = &bytes[whole..];
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.lanes[0];
+        for &lane in &self.lanes[1..] {
+            h = mix_word(h, lane);
+        }
+        for tail in self.pending[..self.pending_len].chunks(8) {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            h = mix_word(h, u64::from_le_bytes(word));
+        }
+        mix_word(h, self.len)
+    }
+}
+
+/// The blocked snapshot format's checksum (header, every block, index and
+/// footer; see the module docs for its definition). A 4-lane,
+/// word-at-a-time hash: every step is a bijection of the state,
+/// so two equal-length inputs that differ in one 8-byte word — in
+/// particular in one bit — always hash differently.
+#[must_use]
+pub fn block_checksum(bytes: &[u8]) -> u64 {
+    let mut h = BlockHasher::default();
+    h.write(bytes);
+    h.finish()
 }
 
 /// A [`Write`] adapter folding every byte it forwards into a running
-/// FNV-1a 64, so streaming encoders can emit a trailer checksum without
-/// buffering the whole image. Partial writes are absorbed internally
-/// (`write` forwards via `write_all`), keeping the hash in lockstep with
-/// the stream.
-pub(crate) struct FnvWriter<Wr> {
+/// hash, so streaming encoders can emit a checksum without buffering the
+/// bytes it covers. Partial writes are absorbed internally (`write`
+/// forwards via `write_all`), keeping the hash in lockstep with the
+/// stream.
+pub(crate) struct HashWriter<Wr, H> {
     inner: Wr,
-    hash: u64,
+    hasher: H,
 }
 
-impl<Wr: Write> FnvWriter<Wr> {
+impl<Wr: Write, H: Hasher + Default> HashWriter<Wr, H> {
     pub(crate) fn new(inner: Wr) -> Self {
-        FnvWriter { inner, hash: FNV_OFFSET }
+        HashWriter { inner, hasher: H::default() }
     }
 
-    /// The FNV-1a 64 of every byte written so far.
+    /// The hash of every byte written so far.
     pub(crate) fn hash(&self) -> u64 {
-        self.hash
+        self.hasher.finish()
     }
 
     /// Bypasses hashing: writes trailer bytes (e.g. the checksum itself)
@@ -344,10 +503,10 @@ impl<Wr: Write> FnvWriter<Wr> {
     }
 }
 
-impl<Wr: Write> Write for FnvWriter<Wr> {
+impl<Wr: Write, H: Hasher> Write for HashWriter<Wr, H> {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.inner.write_all(buf)?;
-        self.hash = fnv1a_update(self.hash, buf);
+        self.hasher.write(buf);
         Ok(buf.len())
     }
 
@@ -423,7 +582,7 @@ impl<W: PortableWeight> Oracle<W> {
     /// Propagates `w`'s failures as [`SnapshotError::Io`].
     pub fn save_to(&self, w: impl Write) -> Result<(), SnapshotError> {
         let n = self.n();
-        let mut fw = FnvWriter::new(w);
+        let mut fw = HashWriter::<_, Fnv1a>::new(w);
         let mut header = Vec::with_capacity(HEADER_LEN);
         header.extend_from_slice(MAGIC);
         header.extend_from_slice(&VERSION.to_le_bytes());
@@ -710,6 +869,97 @@ mod tests {
         let o2 = Oracle::<u64>::load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(o, o2);
+    }
+
+    /// Deterministic filler bytes; no two words alike.
+    fn filler(len: usize) -> Vec<u8> {
+        (0..len as u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8).collect()
+    }
+
+    #[test]
+    fn block_hash_matches_the_documented_definition() {
+        // Golden values from an independent implementation of the
+        // definition in the module docs: pins the on-disk format.
+        assert_eq!(block_checksum(b""), 0xedf7_341d_a3f2_e6e8);
+        assert_eq!(block_checksum(b"CGSTORCL"), 0xa15a_dfa0_81cd_6f43);
+        let counting: Vec<u8> = (0..100).collect();
+        assert_eq!(block_checksum(&counting), 0x1163_174e_d9d7_e339);
+    }
+
+    #[test]
+    fn block_hash_streaming_matches_one_shot_at_every_split() {
+        // 64 + t covers every tail length t in 0..32; 9 + 16m is a graph
+        // section (tail 9 or 25); rows·n·4 with rows·n odd is a successor
+        // block (tail 4, 12, 20 or 28).
+        let mut lens: Vec<usize> = (0..32).map(|t| 64 + t).collect();
+        lens.extend([0, 1, 8, 31, 32, 33]);
+        lens.extend([9 + 16 * 3, 9 + 16 * 4, 9 + 16 * 41]);
+        lens.extend([3 * 5 * 4, 7 * 13 * 4, 9 * 4]);
+        for len in lens {
+            let data = filler(len);
+            let want = block_checksum(&data);
+            for split in 0..=len {
+                let mut h = BlockHasher::default();
+                h.write(&data[..split]);
+                h.write(&data[split..]);
+                assert_eq!(h.finish(), want, "len {len}, split at {split}");
+            }
+            let mut h = BlockHasher::default();
+            for b in &data {
+                h.write(std::slice::from_ref(b));
+            }
+            assert_eq!(h.finish(), want, "len {len}, one byte per write");
+        }
+    }
+
+    #[test]
+    fn block_hash_detects_every_single_bit_flip() {
+        for len in [1usize, 8, 31, 32, 77] {
+            let data = filler(len);
+            let clean = block_checksum(&data);
+            for bit in 0..len * 8 {
+                let mut d = data.clone();
+                d[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(block_checksum(&d), clean, "len {len}, bit {bit}");
+            }
+        }
+        // Zero padding of the tail is disambiguated by the folded length.
+        assert_ne!(block_checksum(&[]), block_checksum(&[0]));
+        assert_ne!(block_checksum(&[0; 8]), block_checksum(&[0; 16]));
+    }
+
+    #[test]
+    fn block_hash_detects_two_bit_flips_and_top_byte_damage() {
+        // A bare `(s ^ w) · P` step passes a flip of bit 63 through to bit
+        // 63 of every later state, so the same flip in any second word
+        // cancels it. Every pair of bits over two stripes and a tail word:
+        let mut data = filler(72);
+        let clean = block_checksum(&data);
+        let flip = |d: &mut [u8], bit: usize| d[bit / 8] ^= 1 << (bit % 8);
+        for a in 0..data.len() * 8 {
+            flip(&mut data, a);
+            for b in a + 1..data.len() * 8 {
+                flip(&mut data, b);
+                assert_ne!(block_checksum(&data), clean, "bits {a} and {b}");
+                flip(&mut data, b);
+            }
+            flip(&mut data, a);
+        }
+        // Bit 63 and the whole top byte of every pair of words, over five
+        // stripes and two tail words.
+        let mut data = filler(22 * 8);
+        let clean = block_checksum(&data);
+        for mask in [0x80u8, 0xFF] {
+            for i in 0..22 {
+                data[i * 8 + 7] ^= mask;
+                for j in i + 1..22 {
+                    data[j * 8 + 7] ^= mask;
+                    assert_ne!(block_checksum(&data), clean, "words {i} and {j}, mask {mask:#x}");
+                    data[j * 8 + 7] ^= mask;
+                }
+                data[i * 8 + 7] ^= mask;
+            }
+        }
     }
 
     #[test]

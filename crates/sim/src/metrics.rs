@@ -70,6 +70,26 @@ impl PhaseReport {
         self.node_sent.iter().copied().max().unwrap_or(0)
     }
 
+    /// Folds in `other`, a phase run after this one: rounds, messages,
+    /// payload, per-node sends, faults and wall time add up; the widest
+    /// message and the in-flight high-water mark take the max. The name
+    /// is kept.
+    pub fn merge(&mut self, other: &PhaseReport) {
+        self.rounds += other.rounds;
+        self.messages += other.messages;
+        if self.node_sent.len() < other.node_sent.len() {
+            self.node_sent.resize(other.node_sent.len(), 0);
+        }
+        for (t, s) in self.node_sent.iter_mut().zip(&other.node_sent) {
+            *t += s;
+        }
+        self.peak_in_flight = self.peak_in_flight.max(other.peak_in_flight);
+        self.payload_words += other.payload_words;
+        self.max_msg_words = self.max_msg_words.max(other.max_msg_words);
+        self.faults.merge(&other.faults);
+        self.wall_ns += other.wall_ns;
+    }
+
     /// This report as a run-manifest row (see `congest_telemetry`).
     #[must_use]
     pub fn manifest_row(&self) -> congest_telemetry::PhaseRow {
@@ -116,16 +136,27 @@ impl Recorder {
         &self.phases
     }
 
+    /// Every phase folded into one report with [`PhaseReport::merge`],
+    /// named `total`.
+    #[must_use]
+    pub fn total(&self) -> PhaseReport {
+        let mut total = PhaseReport { name: "total".into(), ..Default::default() };
+        for p in &self.phases {
+            total.merge(p);
+        }
+        total
+    }
+
     /// Total rounds across phases.
     #[must_use]
     pub fn total_rounds(&self) -> u64 {
-        self.phases.iter().map(|p| p.rounds).sum()
+        self.total().rounds
     }
 
     /// Total messages across phases.
     #[must_use]
     pub fn total_messages(&self) -> u64 {
-        self.phases.iter().map(|p| p.messages).sum()
+        self.total().messages
     }
 
     /// Maximum per-phase node congestion observed.
@@ -137,43 +168,20 @@ impl Recorder {
     /// Total payload across phases, in machine words.
     #[must_use]
     pub fn total_payload_words(&self) -> u64 {
-        self.phases.iter().map(|p| p.payload_words).sum()
+        self.total().payload_words
     }
 
     /// Widest single message delivered in any phase, in machine words —
     /// the number the CONGEST O(log n)-bits-per-message budget bounds.
     #[must_use]
     pub fn max_msg_words(&self) -> u32 {
-        self.phases.iter().map(|p| p.max_msg_words).max().unwrap_or(0)
-    }
-
-    /// Total fault counters merged across all phases.
-    #[must_use]
-    pub fn total_faults(&self) -> FaultCounters {
-        let mut total = FaultCounters::default();
-        for p in &self.phases {
-            total.merge(&p.faults);
-        }
-        total
-    }
-
-    /// Per-node total messages sent across all phases.
-    #[must_use]
-    pub fn node_sent_totals(&self) -> Vec<u64> {
-        let n = self.phases.iter().map(|p| p.node_sent.len()).max().unwrap_or(0);
-        let mut total = vec![0u64; n];
-        for p in &self.phases {
-            for (t, s) in total.iter_mut().zip(p.node_sent.iter()) {
-                *t += s;
-            }
-        }
-        total
+        self.total().max_msg_words
     }
 
     /// Total host wall-clock across phases, in nanoseconds.
     #[must_use]
     pub fn total_wall_ns(&self) -> u64 {
-        self.phases.iter().map(|p| p.wall_ns).sum()
+        self.total().wall_ns
     }
 
     /// Merges another recorder's phases (used when a sub-algorithm keeps its
@@ -259,14 +267,15 @@ impl Recorder {
                 p.wall_ns,
             );
         }
+        let t = self.total();
         row(
             "TOTAL",
-            self.total_rounds(),
-            self.total_messages(),
-            self.total_payload_words(),
-            self.max_msg_words(),
+            t.rounds,
+            t.messages,
+            t.payload_words,
+            t.max_msg_words,
             self.max_node_congestion(),
-            self.total_wall_ns(),
+            t.wall_ns,
         );
         s
     }
@@ -289,7 +298,7 @@ mod tests {
         assert_eq!(r.total_rounds(), 17);
         assert_eq!(r.total_messages(), 103);
         assert_eq!(r.max_node_congestion(), 95);
-        assert_eq!(r.node_sent_totals(), vec![8, 95]);
+        assert_eq!(r.total().node_sent, vec![8, 95]);
         assert_eq!(r.phases().len(), 3);
     }
 
@@ -300,6 +309,30 @@ mod tests {
         r.record("b", PhaseReport { payload_words: 8, max_msg_words: 4, ..phase(1, 2, vec![]) });
         assert_eq!(r.total_payload_words(), 38);
         assert_eq!(r.max_msg_words(), 4);
+    }
+
+    #[test]
+    fn merge_sums_counts_and_wall_and_maxes_peaks() {
+        let mut total = PhaseReport { name: "total".into(), ..Default::default() };
+        total.merge(&PhaseReport {
+            peak_in_flight: 9,
+            payload_words: 30,
+            max_msg_words: 3,
+            wall_ns: 5,
+            ..phase(10, 100, vec![5])
+        });
+        total.merge(&PhaseReport {
+            peak_in_flight: 4,
+            payload_words: 8,
+            max_msg_words: 4,
+            wall_ns: 7,
+            ..phase(7, 3, vec![3, 1])
+        });
+        assert_eq!(total.name, "total");
+        assert_eq!((total.rounds, total.messages, total.payload_words), (17, 103, 38));
+        assert_eq!(total.node_sent, vec![8, 1], "shorter send vectors grow");
+        assert_eq!((total.peak_in_flight, total.max_msg_words), (9, 4));
+        assert_eq!(total.wall_ns, 12);
     }
 
     #[test]

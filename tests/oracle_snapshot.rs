@@ -57,7 +57,8 @@ fn every_truncation_is_a_graceful_err() {
 
 #[test]
 fn version_mismatch_is_a_graceful_err() {
-    // Version 2 is a real format now, so "unknown" starts past it.
+    // Versions 1 and VERSION_V2 are real formats, so "unknown" starts
+    // past the latter.
     let mut bytes = sample(6, 3).to_bytes();
     let future = (VERSION_V2 + 97).to_le_bytes();
     bytes[8] = future[0];
@@ -66,11 +67,11 @@ fn version_mismatch_is_a_graceful_err() {
         Err(SnapshotError::UnsupportedVersion { found }) => assert_eq!(found, VERSION_V2 + 97),
         other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
-    // A v1 payload relabeled v2 must come back as a typed error from the
-    // v2 parser (its 32-byte header checksum cannot match), not a panic.
+    // A v1 payload relabeled as the blocked format must come back as a
+    // typed error from the v2 parser (its 32-byte header checksum cannot
+    // match), not a panic.
     let mut bytes = sample(6, 3).to_bytes();
-    bytes[8] = 2;
-    bytes[9] = 0;
+    bytes[8..10].copy_from_slice(&VERSION_V2.to_le_bytes());
     assert!(Oracle::<u64>::from_bytes(&bytes).is_err());
 }
 
@@ -114,6 +115,7 @@ fn errors_render_useful_messages() {
     bytes[8] = 0xFF;
     let err = Oracle::<u64>::from_bytes(&bytes).unwrap_err();
     assert!(err.to_string().contains("version"));
+    assert!(err.to_string().contains("reads 1 and 3"), "{err}");
 }
 
 // ---------------------------------------------------------------------------

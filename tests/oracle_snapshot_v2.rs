@@ -7,7 +7,9 @@
 use congest_graph::generators::{gnm_connected, WeightDist};
 use congest_graph::seq::apsp_dijkstra;
 use congest_graph::{Edge, Graph, NodeId};
-use congest_oracle::{Oracle, PagedConfig, PagedOracle, QueryError, SnapshotError, V2Config};
+use congest_oracle::{
+    block_checksum, Oracle, PagedConfig, PagedOracle, QueryError, SnapshotError, V2Config,
+};
 
 fn sample(n: usize, seed: u64) -> (Graph<u64>, Oracle<u64>) {
     let g = gnm_connected(n, 2 * n, true, WeightDist::Uniform(0, 30), seed);
@@ -19,18 +21,12 @@ fn temp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("v2_it_{}_{name}", std::process::id()))
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
-}
-
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
 }
 
 /// Minimal independent reading of the v2 tail: (index_offset, entries),
-/// each entry `(offset, len, fnv)`.
+/// each entry `(offset, len, hash)`.
 fn read_index(bytes: &[u8]) -> (usize, Vec<(u64, u64, u64)>) {
     let foot = bytes.len() - 32;
     let ioff = u64_at(bytes, foot) as usize;
@@ -52,10 +48,10 @@ fn patch_entry(bytes: &mut [u8], i: usize, entry: (u64, u64, u64)) {
     bytes[at..at + 8].copy_from_slice(&entry.0.to_le_bytes());
     bytes[at + 8..at + 16].copy_from_slice(&entry.1.to_le_bytes());
     bytes[at + 16..at + 24].copy_from_slice(&entry.2.to_le_bytes());
-    let ifnv = fnv1a(&bytes[ioff..ioff + ilen]);
-    bytes[foot + 16..foot + 24].copy_from_slice(&ifnv.to_le_bytes());
-    let ffnv = fnv1a(&bytes[foot..foot + 24]);
-    bytes[foot + 24..foot + 32].copy_from_slice(&ffnv.to_le_bytes());
+    let ihash = block_checksum(&bytes[ioff..ioff + ilen]);
+    bytes[foot + 16..foot + 24].copy_from_slice(&ihash.to_le_bytes());
+    let fhash = block_checksum(&bytes[foot..foot + 24]);
+    bytes[foot + 24..foot + 32].copy_from_slice(&fhash.to_le_bytes());
 }
 
 fn write_v2(oracle: &Oracle<u64>, cfg: &V2Config<u64>, name: &str) -> std::path::PathBuf {
@@ -165,13 +161,31 @@ fn concurrent_paged_readers_under_tiny_budget_agree_with_eager() {
 
 #[test]
 fn per_block_bit_flip_is_typed_and_names_the_block() {
-    let (_, oracle) = sample(20, 7);
-    let cfg = V2Config { block_rows: 4, ..V2Config::default() }; // 5 dist + 5 succ blocks
+    let (g, oracle) = sample(20, 7);
+    // 5 dist + 5 succ blocks, then the graph section as entry 10.
+    let cfg = V2Config { block_rows: 4, drop_successors: false, graph: Some(&g) };
     let path = write_v2(&oracle, &cfg, "bitflip");
     let clean = std::fs::read(&path).unwrap();
     let (_, entries) = read_index(&clean);
-    assert_eq!(entries.len(), 10);
-    for (b, &(off, len, _)) in entries.iter().enumerate() {
+    assert_eq!(entries.len(), 11);
+
+    // Eager load: every single-bit flip of a dist block, a succ block and
+    // the graph section is a typed error naming that block.
+    for b in [2usize, 7, 10] {
+        let (off, len, _) = entries[b];
+        for bit in 0..len as usize * 8 {
+            let mut bad = clean.clone();
+            bad[off as usize + bit / 8] ^= 1 << (bit % 8);
+            match Oracle::<u64>::from_bytes(&bad) {
+                Err(SnapshotError::BlockCorrupt { block, what }) => {
+                    assert_eq!((block as usize, what), (b, "checksum mismatch"), "bit {bit}");
+                }
+                other => panic!("block {b}, bit {bit}: expected BlockCorrupt, got {other:?}"),
+            }
+        }
+    }
+
+    for (b, &(off, len, _)) in entries.iter().enumerate().take(10) {
         let mut bad = clean.clone();
         bad[off as usize + len as usize / 2] ^= 0x10;
         // Eager load: typed SnapshotError naming block b.
@@ -211,6 +225,27 @@ fn per_block_bit_flip_is_typed_and_names_the_block() {
         assert!(miss.is_ok(), "block {b}: undamaged blocks must keep serving");
     }
     std::fs::write(&path, &clean).unwrap();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn version_2_files_are_rejected_by_both_loaders() {
+    // Version 2 sealed the blocked format with FNV-1a; the version check
+    // runs before any checksum, so such files get a typed error, not a
+    // checksum mismatch.
+    let (_, oracle) = sample(10, 6);
+    let path = write_v2(&oracle, &V2Config { block_rows: 4, ..V2Config::default() }, "version2");
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[8..10].copy_from_slice(&2u16.to_le_bytes());
+    assert!(matches!(
+        Oracle::<u64>::from_bytes(&bytes),
+        Err(SnapshotError::UnsupportedVersion { found: 2 })
+    ));
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(matches!(
+        PagedOracle::<u64>::open(&path, PagedConfig::default()),
+        Err(SnapshotError::UnsupportedVersion { found: 2 })
+    ));
     std::fs::remove_file(&path).ok();
 }
 
