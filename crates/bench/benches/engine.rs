@@ -11,13 +11,19 @@
 //! Both workloads are implemented twice — once per engine interface — with
 //! identical logic, and the harness asserts both engines compute identical
 //! (rounds, messages) before timing anything.
+//!
+//! A third workload times the flood primitive itself in the shape of
+//! Algorithm 1 Step 4 (see [`Step4Item`]), with integer and real weights,
+//! against the same items hashed by Debug-formatting their distance.
 
 use congest_bench::legacy::{legacy_run, LegacyEnvelope, LegacyLogic, LegacyOutbox};
 use congest_graph::generators::{gnm_connected, WeightDist};
-use congest_graph::NodeId;
+use congest_graph::{NodeId, Weight, F64};
+use congest_sim::primitives::{all_to_all_broadcast, FloodItem};
 use congest_sim::{Engine, Envelope, NodeEnv, NodeLogic, Outbox, RunUntil, SimConfig, Topology};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 
 const SIZES: &[usize] = &[1 << 12, 1 << 15];
 const WAVES: u32 = 64;
@@ -182,6 +188,128 @@ impl LegacyLogic for BfRelax {
 }
 
 // ---------------------------------------------------------------------
+// Step-4-shaped flood: Algorithm 1 Step 4 broadcasts the |Q|×|Q| matrix of
+// δ_h(c, c′) with the pipelined flood primitive (Lemma A.2). Each of the
+// |Q| blockers seeds its row, so every node's log ends with |Q|² items of
+// three words each: (from, to, distance).
+// ---------------------------------------------------------------------
+
+const STEP4_N: usize = 256;
+const STEP4_Q: usize = 42;
+
+/// One δ_h(c, c′) entry, hashed by value (`Weight: Hash`).
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct Step4Item<W> {
+    from: u32,
+    to: u32,
+    dist: W,
+}
+
+/// The same entry hashed by Debug-formatting the distance, as flood
+/// payloads were before weights were `Hash`: the comparison point.
+#[derive(Clone, PartialEq, Eq)]
+struct DebugHashed<W>(Step4Item<W>);
+
+impl<W: Weight> Hash for DebugHashed<W> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.from.hash(state);
+        self.0.to.hash(state);
+        format!("{:?}", self.0.dist).hash(state);
+    }
+}
+
+/// Seeds row `i` of the matrix at every `n / |Q|`-th node.
+fn step4_initial<T>(dist: impl Fn(u32, u32) -> T) -> Vec<Vec<T>> {
+    let mut initial: Vec<Vec<T>> = (0..STEP4_N).map(|_| Vec::new()).collect();
+    for i in 0..STEP4_Q as u32 {
+        let row = (0..STEP4_Q as u32).map(|j| dist(i, j)).collect();
+        initial[i as usize * (STEP4_N / STEP4_Q)] = row;
+    }
+    initial
+}
+
+fn step4_u64(i: u32, j: u32) -> Step4Item<u64> {
+    Step4Item { from: i, to: j, dist: 13 * edge_weight(i, j + 1000) }
+}
+
+fn step4_f64(i: u32, j: u32) -> Step4Item<F64> {
+    Step4Item { from: i, to: j, dist: F64::new(edge_weight(i, j + 1000) as f64 / 3.0) }
+}
+
+fn run_step4<T: FloodItem>(topo: &Topology, initial: Vec<Vec<T>>) -> (u64, u64) {
+    let (_, report) = all_to_all_broadcast(topo, flat_seq(), initial, 3).unwrap();
+    (report.rounds, report.messages)
+}
+
+struct Step4Weight {
+    weight: &'static str,
+    value_hash_ns: f64,
+    debug_hash_ns: f64,
+}
+
+struct Step4Measured {
+    rounds: u64,
+    messages: u64,
+    weights: Vec<Step4Weight>,
+}
+
+fn measure_step4(c: &mut Criterion) -> Step4Measured {
+    let topo = workload_topo(STEP4_N);
+    let (rounds, messages) = run_step4(&topo, step4_initial(step4_u64));
+    for rm in [
+        run_step4(&topo, step4_initial(|i, j| DebugHashed(step4_u64(i, j)))),
+        run_step4(&topo, step4_initial(step4_f64)),
+        run_step4(&topo, step4_initial(|i, j| DebugHashed(step4_f64(i, j)))),
+    ] {
+        assert_eq!(rm, (rounds, messages), "step4 flood: hashing changed the simulation");
+    }
+
+    let group_name = format!("step4-flood-n{STEP4_N}-q{STEP4_Q}");
+    let mut group = c.benchmark_group(&group_name);
+    group.sample_size(5).measurement_time(std::time::Duration::from_secs(3));
+    group.bench_function("u64/value-hash", |b| {
+        b.iter(|| run_step4(&topo, step4_initial(step4_u64)))
+    });
+    group.bench_function("u64/debug-hash", |b| {
+        b.iter(|| run_step4(&topo, step4_initial(|i, j| DebugHashed(step4_u64(i, j)))))
+    });
+    group.bench_function("f64/value-hash", |b| {
+        b.iter(|| run_step4(&topo, step4_initial(step4_f64)))
+    });
+    group.bench_function("f64/debug-hash", |b| {
+        b.iter(|| run_step4(&topo, step4_initial(|i, j| DebugHashed(step4_f64(i, j)))))
+    });
+    group.finish();
+
+    let median = |suffix: &str| -> f64 {
+        c.results
+            .iter()
+            .find(|(name, _)| name.starts_with(&group_name) && name.ends_with(suffix))
+            .map_or(0.0, |(_, s)| s.median_ns)
+    };
+    let weights: Vec<Step4Weight> = ["u64", "f64"]
+        .into_iter()
+        .map(|weight| Step4Weight {
+            weight,
+            value_hash_ns: median(&format!("{weight}/value-hash")),
+            debug_hash_ns: median(&format!("{weight}/debug-hash")),
+        })
+        .filter(|w| w.value_hash_ns > 0.0 && w.debug_hash_ns > 0.0)
+        .collect();
+    for w in &weights {
+        println!(
+            "step4 flood n={STEP4_N} |Q|={STEP4_Q} {}: rounds={rounds} messages={messages} | value hash {:.2} ms ({:.0} ns/msg) | debug hash {:.2} ms ({:.0} ns/msg)",
+            w.weight,
+            w.value_hash_ns / 1e6,
+            w.value_hash_ns / messages as f64,
+            w.debug_hash_ns / 1e6,
+            w.debug_hash_ns / messages as f64,
+        );
+    }
+    Step4Measured { rounds, messages, weights }
+}
+
+// ---------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------
 
@@ -313,6 +441,7 @@ fn measure_size(c: &mut Criterion, n: usize) -> MeasuredSize {
 
 fn bench_engine(c: &mut Criterion) {
     let sizes: Vec<MeasuredSize> = SIZES.iter().map(|&n| measure_size(c, n)).collect();
+    let step4 = measure_step4(c);
 
     if let Ok(path) = std::env::var("BENCH_ENGINE_JSON") {
         use congest_telemetry::json::{obj, Json};
@@ -350,6 +479,37 @@ fn bench_engine(c: &mut Criterion) {
                 ])
             })
             .collect();
+        let step4_json = obj(vec![
+            ("n", Json::from(STEP4_N)),
+            ("q", Json::from(STEP4_Q)),
+            ("log_items", Json::from(STEP4_Q * STEP4_Q)),
+            ("item_words", Json::U64(3)),
+            ("rounds", Json::U64(step4.rounds)),
+            ("messages", Json::U64(step4.messages)),
+            (
+                "weights",
+                Json::Arr(
+                    step4
+                        .weights
+                        .iter()
+                        .map(|w| {
+                            let per_msg = |ns: f64| {
+                                Json::F64((ns / step4.messages as f64 * 10.0).round() / 10.0)
+                            };
+                            obj(vec![
+                                ("weight", Json::from(w.weight)),
+                                ("value_hash_ms", ms(w.value_hash_ns)),
+                                ("debug_hash_ms", ms(w.debug_hash_ns)),
+                                ("value_hash_ns_per_msg", per_msg(w.value_hash_ns)),
+                                ("debug_hash_ns_per_msg", per_msg(w.debug_hash_ns)),
+                                ("speedup_value_vs_debug", ratio(w.debug_hash_ns, w.value_hash_ns)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ]);
+        let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
         congest_telemetry::Manifest::new("bench-engine")
             .field(
                 "benchmark",
@@ -361,9 +521,11 @@ fn bench_engine(c: &mut Criterion) {
                     ("waves", Json::from(WAVES)),
                     ("bf_rounds", Json::U64(BF_ROUNDS)),
                     ("graph", Json::from("gnm_connected(n, 2n, unit weights, seed 7)")),
+                    ("available_parallelism", Json::from(parallelism)),
                 ]),
             )
             .field("sizes", Json::Arr(sizes_json))
+            .field("step4_flood", step4_json)
             .write(&path)
             .expect("write BENCH_ENGINE_JSON");
         println!("wrote {path}");

@@ -98,19 +98,11 @@ impl<W: Weight> ApspOutcome<W> {
 }
 
 /// Flood payload for Step 4: one (from-blocker, to-blocker, δ_h) entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct QPairItem<W> {
     from_qi: u32,
     to_qi: u32,
     dist: W,
-}
-
-impl<W: Weight> std::hash::Hash for QPairItem<W> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.from_qi.hash(state);
-        self.to_qi.hash(state);
-        format!("{:?}", self.dist).hash(state);
-    }
 }
 
 /// Runs Algorithm 1 (the paper's Õ(n^{4/3}) APSP). `method` selects the

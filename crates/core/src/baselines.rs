@@ -68,19 +68,11 @@ pub(crate) fn run_naive<W: Weight>(
 }
 
 /// Flood payload for the (x, c, δ(x,c)) table.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct TableItem<W> {
     x: NodeId,
     qi: u32,
     dist: W,
-}
-
-impl<W: Weight> std::hash::Hash for TableItem<W> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.x.hash(state);
-        self.qi.hash(state);
-        format!("{:?}", self.dist).hash(state);
-    }
 }
 
 /// The Õ(n^{3/2})-round deterministic baseline (\[2\]-style). The engine

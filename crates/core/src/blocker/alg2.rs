@@ -135,8 +135,7 @@ impl<'a, W: Weight> Driver<'a, W> {
             .alive_paths()
             .into_iter()
             .map(|(v, si)| {
-                let nvi = self.ctx.path_vertices(v, si).iter().filter(|&&u| vi[u as usize]).count()
-                    as u32;
+                let nvi = self.ctx.path_vertices(v, si).filter(|&u| vi[u as usize]).count() as u32;
                 (v, si, nvi)
             })
             .collect()
@@ -250,7 +249,7 @@ impl<'a, W: Weight> Driver<'a, W> {
             if nvi == 0 {
                 continue; // not in Pi
             }
-            let covered = self.ctx.path_vertices(v, si).iter().any(|&u| in_a[u as usize]);
+            let covered = self.ctx.path_vertices(v, si).any(|u| in_a[u as usize]);
             if covered {
                 vals[v as usize][0] += 1;
                 if f64::from(nvi) >= thr_j {
@@ -383,12 +382,12 @@ impl<'a, W: Weight> Driver<'a, W> {
                         if nvi == 0 {
                             continue;
                         }
-                        let verts = self.ctx.path_vertices(v, si);
                         // map vertices to Vi indices once per path
-                        let vi_idx: Vec<u64> = verts
-                            .iter()
-                            .filter(|&&u| vi[u as usize])
-                            .map(|&u| vi_list.binary_search(&u).expect("in Vi") as u64)
+                        let vi_idx: Vec<u64> = self
+                            .ctx
+                            .path_vertices(v, si)
+                            .filter(|&u| vi[u as usize])
+                            .map(|u| vi_list.binary_search(&u).expect("in Vi") as u64)
                             .collect();
                         for (k, mu) in (lo..hi).enumerate() {
                             let covered = vi_idx.iter().any(|&idx| space.eval(mu, idx));

@@ -440,14 +440,12 @@ fn apply_relay_set<W: Weight>(
                 .map(|ri| BroadcastItem {
                     x: x as NodeId,
                     ri: ri as u32,
-                    dist: DistKey(to_relay[ri][x]),
+                    dist: to_relay[ri][x],
                     first: if track { to_relay_next[ri][x] } else { NO_SUCC },
                 })
                 .collect()
         })
         .collect();
-    // W must be hashable for the flood; distances are compared exactly, so
-    // forward them as opaque payloads keyed by (x, ri).
     let (_, rep) = all_to_all_broadcast(topo, sim, initial, if track { 4 } else { 3 })?;
     rec.record(format!("step6/{label}: (x, r) table broadcast"), rep);
     // Local combine at each blocker (the orchestrator mirrors what node c
@@ -484,35 +482,13 @@ fn apply_relay_set<W: Weight>(
 }
 
 /// Flood payload: one (source, relay, distance, first hop) table entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct BroadcastItem<W: Weight> {
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct BroadcastItem<W> {
     x: NodeId,
     ri: u32,
-    dist: DistKey<W>,
+    dist: W,
     /// First hop from `x` ([`NO_SUCC`] when untracked or zero-length).
     first: NodeId,
-}
-
-impl<W: Weight> std::hash::Hash for BroadcastItem<W> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.x.hash(state);
-        self.ri.hash(state);
-        self.dist.hash(state);
-        self.first.hash(state);
-    }
-}
-
-/// Hash/Eq adapter for weights (weights are `Ord + Eq`; hashing goes
-/// through the debug-stable byte representation of the ordering key).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct DistKey<W>(W);
-
-impl<W: Weight> std::hash::Hash for DistKey<W> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Weights are opaque; hash via their debug formatting, which is
-        // stable for the concrete types used (u32/u64/F64).
-        format!("{:?}", self.0).hash(state);
-    }
 }
 
 /// Trivial deterministic alternative to Algorithms 8+9: broadcast all
@@ -537,7 +513,7 @@ pub fn propagate_trivial_broadcast<W: Weight>(
                 .map(|qi| BroadcastItem {
                     x: x as NodeId,
                     ri: qi as u32,
-                    dist: DistKey(dvals.dist[x][qi]),
+                    dist: dvals.dist[x][qi],
                     first: dvals.first_at(x, qi),
                 })
                 .collect()
@@ -553,8 +529,8 @@ pub fn propagate_trivial_broadcast<W: Weight>(
     for (qi, &c) in q.iter().enumerate() {
         out.dist[qi][c as usize] = W::ZERO;
         for item in &logs[c as usize] {
-            if item.ri as usize == qi && item.dist.0 < out.dist[qi][item.x as usize] {
-                out.dist[qi][item.x as usize] = item.dist.0;
+            if item.ri as usize == qi && item.dist < out.dist[qi][item.x as usize] {
+                out.dist[qi][item.x as usize] = item.dist;
                 out.set_first(qi, item.x as usize, item.first);
             }
         }

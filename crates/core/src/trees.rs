@@ -31,9 +31,10 @@ use std::collections::VecDeque;
 // Convergecast
 // ---------------------------------------------------------------------
 
-struct ConvTreeNode {
-    /// Per tree: parent (None for roots / non-members).
-    parent: Vec<Option<NodeId>>,
+struct ConvTreeNode<'a> {
+    /// Per tree: parent (None for roots / non-members), borrowed from the
+    /// collection.
+    parent: &'a [Option<NodeId>],
     /// Per tree: children not yet reported.
     pending: Vec<u32>,
     /// Per tree: accumulated value (own init + children).
@@ -46,7 +47,7 @@ struct ConvTreeNode {
     outstanding: usize,
 }
 
-impl NodeLogic for ConvTreeNode {
+impl NodeLogic for ConvTreeNode<'_> {
     type Msg = (u32, u64);
 
     fn on_round(
@@ -117,7 +118,7 @@ pub fn convergecast_trees<W: Weight>(
                 }
             }
             ConvTreeNode {
-                parent: (0..s).map(|si| coll.parent[v][si]).collect(),
+                parent: &coll.parent[v],
                 pending,
                 acc: init[v].clone(),
                 queues: vec![VecDeque::new(); topo.neighbors(v as NodeId).len()],
@@ -143,9 +144,9 @@ pub fn convergecast_trees_budget<W: Weight>(coll: &SsspCollection<W>) -> RunUnti
 // Remove-Subtrees (Algorithm 6)
 // ---------------------------------------------------------------------
 
-struct RemoveNode {
-    /// Per tree: children lists.
-    children: Vec<Vec<NodeId>>,
+struct RemoveNode<'a> {
+    /// Per tree: children lists, borrowed from the collection.
+    children: &'a [Vec<NodeId>],
     /// Per tree: removal mark.
     removed: Vec<bool>,
     /// Channel FIFO queues of tree indices to forward.
@@ -153,14 +154,13 @@ struct RemoveNode {
     queued: usize,
 }
 
-impl RemoveNode {
+impl RemoveNode<'_> {
     fn mark(&mut self, si: u32, neighbors: &[NodeId]) {
         if self.removed[si as usize] {
             return;
         }
         self.removed[si as usize] = true;
-        for i in 0..self.children[si as usize].len() {
-            let c = self.children[si as usize][i];
+        for &c in &self.children[si as usize] {
             let ni = neighbors.binary_search(&c).expect("child is a neighbor");
             self.queues[ni].push_back(si);
             self.queued += 1;
@@ -168,7 +168,7 @@ impl RemoveNode {
     }
 }
 
-impl NodeLogic for RemoveNode {
+impl NodeLogic for RemoveNode<'_> {
     type Msg = u32;
 
     fn on_round(&mut self, env: &NodeEnv<'_>, inbox: &[Envelope<u32>], out: &mut Outbox<'_, u32>) {
@@ -207,7 +207,7 @@ pub fn remove_subtrees<W: Weight>(
     let engine = Engine::new(topo, sim);
     let mut nodes: Vec<RemoveNode> = (0..n)
         .map(|v| RemoveNode {
-            children: (0..s).map(|si| coll.children[v][si].clone()).collect(),
+            children: &coll.children[v],
             removed: vec![false; s],
             queues: vec![VecDeque::new(); topo.neighbors(v as NodeId).len()],
             queued: 0,
@@ -233,9 +233,9 @@ pub fn remove_subtrees<W: Weight>(
 // Ancestor collection (Algorithm 7 Step 1 / Ancestors of [2])
 // ---------------------------------------------------------------------
 
-struct AncestorNode {
-    /// This tree's children of the node.
-    children: Vec<NodeId>,
+struct AncestorNode<'a> {
+    /// This tree's children of the node, borrowed from the collection.
+    children: &'a [NodeId],
     /// Whether this node is a member of the current tree.
     member: bool,
     /// Received root-path ids so far, root first (without self).
@@ -246,7 +246,7 @@ struct AncestorNode {
     next_fwd: usize,
 }
 
-impl NodeLogic for AncestorNode {
+impl NodeLogic for AncestorNode<'_> {
     type Msg = NodeId;
 
     fn on_round(
@@ -313,7 +313,7 @@ pub fn collect_ancestors<W: Weight>(
     for si in 0..s {
         let mut nodes: Vec<AncestorNode> = (0..n)
             .map(|v| AncestorNode {
-                children: coll.children[v][si].clone(),
+                children: &coll.children[v][si],
                 member: coll.is_member(v as NodeId, si),
                 path: Vec::new(),
                 depth: if coll.is_member(v as NodeId, si) { coll.hops[v][si] as usize } else { 0 },

@@ -12,6 +12,7 @@
 //!   words either way).
 
 use core::fmt::Debug;
+use core::hash::{Hash, Hasher};
 use core::ops::Add;
 
 /// A totally ordered, additively monotone weight type with `ZERO` and an
@@ -22,8 +23,13 @@ use core::ops::Add;
 /// * `w.plus(ZERO) == w`,
 /// * `INF.plus(w) == INF` and `w.plus(INF) == INF`,
 /// * `plus` is monotone in both arguments.
+///
+/// Weights are [`Hash`], consistently with `Eq` (`a == b` implies equal
+/// hashes), so protocol payloads that carry a distance can derive `Hash`
+/// and be deduplicated by value. For [`F64`] this means hashing the bits
+/// with `-0.0` normalised to `0.0`, since the two compare equal.
 pub trait Weight:
-    Copy + Clone + Ord + PartialOrd + Eq + PartialEq + Debug + Send + Sync + 'static
+    Copy + Clone + Ord + PartialOrd + Eq + PartialEq + Hash + Debug + Send + Sync + 'static
 {
     /// The additive identity (distance of a node to itself).
     const ZERO: Self;
@@ -102,6 +108,16 @@ impl F64 {
 }
 
 impl Eq for F64 {}
+
+impl Hash for F64 {
+    /// Hashes the bit pattern, with `-0.0` mapped to `0.0` (adding `0.0`
+    /// does exactly that and leaves every other value unchanged), so values
+    /// that are `==` hash alike.
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.0 + 0.0).to_bits().hash(state);
+    }
+}
 
 impl PartialOrd for F64 {
     #[inline]
@@ -189,6 +205,22 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn f64_rejects_nan() {
         let _ = F64::new(f64::NAN);
+    }
+
+    #[test]
+    fn f64_signed_zeros_are_equal_and_hash_alike() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash_of(w: F64) -> u64 {
+            let mut h = DefaultHasher::new();
+            w.hash(&mut h);
+            h.finish()
+        }
+        let (neg, pos) = (F64::new(-0.0), F64::new(0.0));
+        assert!(neg.get().is_sign_negative());
+        assert_eq!(neg, pos);
+        assert_eq!(hash_of(neg), hash_of(pos));
+        assert_ne!(hash_of(F64::new(1.0)), hash_of(pos));
+        assert_eq!(hash_of(F64::INF), hash_of(F64::INF));
     }
 
     #[test]
